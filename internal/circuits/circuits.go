@@ -10,8 +10,10 @@
 //
 // A Net models the pin configuration of one phase. Union-find maintains the
 // circuits as links are added; Beep/Deliver implement one synchronous beep
-// round. Per-grid-edge link counts are tracked so constructions can assert
-// they respect the constant number c of external links per edge.
+// round. Every link between two amoebots is recorded, so constructions can
+// measure how many external links they place per grid edge against the
+// model's constant c (MaxLinksPerEdge); the budget is measured, not
+// enforced.
 package circuits
 
 import (
@@ -37,8 +39,10 @@ type Net struct {
 	parent []int32 // union-find over partition sets
 	rank   []int8
 
-	edgeLinks map[edgeKey]int8
-	maxLinks  int8
+	// links records the owner pair of every link between two amoebots,
+	// append-only: the per-edge counts are derived on demand by
+	// MaxLinksPerEdge, so Link pays one append instead of a hash update.
+	links []edgeKey
 
 	// circ, when non-nil, is the frozen circuit table: circ[ps] is the
 	// union-find root of ps's circuit, resolved once by Freeze so that
@@ -55,11 +59,7 @@ type Net struct {
 type edgeKey struct{ a, b int32 }
 
 // New returns an empty pin configuration.
-func New() *Net {
-	return &Net{
-		edgeLinks: make(map[edgeKey]int8),
-	}
-}
+func New() *Net { return &Net{} }
 
 // NewPartitionSet creates a partition set owned by the given amoebot node.
 // Owner -1 denotes a virtual endpoint (used only in tests).
@@ -96,14 +96,7 @@ func (n *Net) Link(a, b PS) {
 		panic("circuits: link between partition sets of the same amoebot")
 	}
 	if ao != -1 && bo != -1 {
-		k := edgeKey{ao, bo}
-		if k.a > k.b {
-			k.a, k.b = k.b, k.a
-		}
-		n.edgeLinks[k]++
-		if n.edgeLinks[k] > n.maxLinks {
-			n.maxLinks = n.edgeLinks[k]
-		}
+		n.links = append(n.links, edgeKey{min(ao, bo), max(ao, bo)})
 	}
 	ra, rb := n.find(int32(a)), n.find(int32(b))
 	if ra == rb {
@@ -170,8 +163,17 @@ func (n *Net) CircuitRoot(ps PS) int32 {
 
 // MaxLinksPerEdge returns the largest number of links this configuration
 // places on any single grid edge; constructions assert it stays within the
-// constant c of the model (our constructions use at most 4).
-func (n *Net) MaxLinksPerEdge() int { return int(n.maxLinks) }
+// constant c of the model (our constructions use at most 4). It counts the
+// link record on demand, off the Link path.
+func (n *Net) MaxLinksPerEdge() int {
+	count := make(map[edgeKey]int)
+	best := 0
+	for _, k := range n.links {
+		count[k]++
+		best = max(best, count[k])
+	}
+	return best
+}
 
 // Beep marks a beep to be sent on the circuit of ps this round.
 func (n *Net) Beep(ps PS) {
@@ -257,7 +259,7 @@ func (n *Net) NextRound() {
 }
 
 func (n *Net) String() string {
-	return fmt.Sprintf("Net(%d partition sets, max %d links/edge)", n.Len(), n.maxLinks)
+	return fmt.Sprintf("Net(%d partition sets, max %d links/edge)", n.Len(), n.MaxLinksPerEdge())
 }
 
 // RegionCircuit builds the standard "one circuit spanning the region"

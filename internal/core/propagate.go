@@ -8,7 +8,6 @@ import (
 	"spforest/internal/bitstream"
 	"spforest/internal/dense"
 	"spforest/internal/pasc"
-	"spforest/internal/portal"
 	"spforest/internal/sim"
 )
 
@@ -37,12 +36,11 @@ func PropagateArena(ar *dense.Arena, clock *sim.Clock, region *amoebot.Region, p
 	return PropagateEnv(envArena(ar), clock, region, pnodes, f, into)
 }
 
-// PropagateEnv is Propagate under an execution environment: the two
-// visibility decompositions (y- and z-portals of P ∪ B) compute
-// concurrently, the per-probe comparator feeds of each PASC iteration fan
-// out over index chunks, and the phase-2 invisible components — disjoint
-// sub-regions by construction — run on worker goroutines with their
-// branch clocks joined in component order.
+// PropagateEnv is Propagate under an execution environment: the per-probe
+// comparator feeds of each PASC iteration fan out over index chunks, and
+// the phase-2 invisible components — disjoint sub-regions by construction
+// — run on worker goroutines with their branch clocks joined in component
+// order.
 func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
 	ar := env.Arena()
 	s := region.Structure()
@@ -77,27 +75,19 @@ func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []i
 		towardY, towardZ = amoebot.DirNE, amoebot.DirNW
 	}
 
-	// Phase 1: visibility via the y-/z-portals of P ∪ B (one beep round).
-	// The two decompositions are independent read-only computations over
-	// the same sub-region, so they run concurrently.
-	pb := amoebot.NewRegion(s, append(append([]int32{}, pnodes...), bNodes...))
-	var portsY, portsZ *portal.Portals
-	env.Exec().For(2, func(i int) {
-		if i == 0 {
-			portsY = portal.Compute(pb, amoebot.AxisY)
-		} else {
-			portsZ = portal.Compute(pb, amoebot.AxisZ)
-		}
-	})
-	containsP := func(ports *portal.Portals) []bool {
-		mask := make([]bool, ports.Len())
-		for _, p := range pnodes {
-			mask[ports.ID[p]] = true
-		}
-		return mask
+	// Phase 1: visibility along the y-/z-portals of P ∪ B (one beep round:
+	// every P amoebot beeps on its y- and z-portal circuits).
+	inPB := ar.BitSet(s.N())
+	defer ar.PutBitSet(inPB)
+	inPB.Or(inP)
+	for _, u := range bNodes {
+		inPB.Add(u)
 	}
-	visYPortal := containsP(portsY)
-	visZPortal := containsP(portsZ)
+	visY, visZ := ar.BitSet(s.N()), ar.BitSet(s.N())
+	defer ar.PutBitSet(visY)
+	defer ar.PutBitSet(visZ)
+	visibleAlong(s, pnodes, inPB, amoebot.AxisY, visY)
+	visibleAlong(s, pnodes, inPB, amoebot.AxisZ, visZ)
 	clock.Tick(1)
 	clock.AddBeeps(2 * int64(len(pnodes)))
 
@@ -105,8 +95,7 @@ func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []i
 	visible := ar.BitSet(s.N())
 	defer ar.PutBitSet(visible)
 	for _, u := range bNodes {
-		vy := visYPortal[portsY.ID[u]]
-		vz := visZPortal[portsZ.ID[u]]
+		vy, vz := visY.Has(u), visZ.Has(u)
 		switch {
 		case vy && vz:
 			visible.Add(u)
@@ -206,6 +195,23 @@ func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []i
 		clock.JoinMax(branches...)
 	}
 	return out
+}
+
+// visibleAlong adds to vis every amoebot of the node set inPB (P ∪ B)
+// whose maximal axis run within the set contains an amoebot of the x-portal
+// P: the amoebots that see P along that axis. A run crosses P's row at most
+// once, so walking each run out from its P amoebot in both directions
+// labels every visible amoebot exactly once — no portal decomposition of
+// P ∪ B is needed for one bit per amoebot.
+func visibleAlong(s *amoebot.Structure, pnodes []int32, inPB *dense.BitSet, axis amoebot.Axis, vis *dense.BitSet) {
+	for _, p := range pnodes {
+		vis.Add(p)
+		for _, d := range [2]amoebot.Direction{axis.Positive(), axis.Negative()} {
+			for v := s.Neighbor(p, d); v != amoebot.None && inPB.Has(v); v = s.Neighbor(v, d) {
+				vis.Add(v)
+			}
+		}
+	}
 }
 
 // sideNodes returns the nodes of region \ P lying on the given side of the

@@ -160,7 +160,7 @@ func TestSubViewOnSubtrees(t *testing.T) {
 			if !v.Contains(b) {
 				continue
 			}
-			lu, ord := v.crossingOrdinal(a, b)
+			lu, ord := v.crossingOrdinal(p.cross[p.row(a, b)])
 			if v.Global(v.Tree().Neighbors[lu][ord]) != p.Connector(b, a) {
 				t.Fatal("crossing ordinal inconsistent in subview")
 			}

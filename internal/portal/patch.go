@@ -2,7 +2,8 @@ package portal
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"spforest/amoebot"
 	"spforest/internal/ett"
@@ -55,10 +56,11 @@ func NewPatchSpec(region *amoebot.Region, remap, oldOf, footOld, footNew []int32
 // node in the footprint survive exactly — their (remapped) node sets are
 // still maximal runs, because both run membership and maximality depend
 // only on their cells' unchanged neighborhoods — so their CSR spans are
-// copied through the remap and their crossing-edge entries migrate by key
-// translation. Every other new run consists entirely of dirty-zone nodes
-// (footprint cells plus survivors of footprint-intersecting portals) and
-// is rebuilt by the same scan Compute uses, restricted to that zone.
+// copied through the remap, their tree masks carry over, and their
+// crossing-table rows migrate by index translation. Every other new run
+// consists entirely of dirty-zone nodes (footprint cells plus survivors of
+// footprint-intersecting portals) and is rebuilt by the same scan Compute
+// uses, restricted to that zone.
 //
 // New portal ids are assigned in ascending run-start order, exactly as
 // Compute assigns them, so the result is deep-equal to
@@ -106,16 +108,16 @@ func (p *Portals) Patch(sp *PatchSpec) *Portals {
 			}
 		}
 	}
-	sort.Slice(starts, func(a, b int) bool { return starts[a] < starts[b] })
+	slices.Sort(starts)
 
 	np := &Portals{
-		Axis:    p.Axis,
-		Region:  sp.Region,
-		ID:      make([]int32, n2),
-		nodes:   make([]int32, 0, n2),
-		off:     make([]int32, 1, p.Len()+len(starts)+1),
-		conn:    make(map[[2]int32]connEnds, len(p.conn)),
-		oldIDof: make([]int32, 0, p.Len()+len(starts)),
+		Axis:     p.Axis,
+		Region:   sp.Region,
+		ID:       make([]int32, n2),
+		treeMask: make([]uint8, n2),
+		nodes:    make([]int32, 0, n2),
+		off:      make([]int32, 1, p.Len()+len(starts)+1),
+		oldIDof:  make([]int32, 0, p.Len()+len(starts)),
 	}
 	// Merge surviving portals (ascending old id — their new starts ascend
 	// with them, the remap being monotonic) with the dirty-zone runs
@@ -151,35 +153,35 @@ func (p *Portals) Patch(sp *PatchSpec) *Portals {
 		}
 	}
 
-	// Crossing-edge table: entries whose connector is outside the footprint
+	// Tree masks: a node outside the footprint keeps its whole
+	// neighborhood and therefore its mask; footprint nodes are re-probed.
+	for w := int32(0); w < int32(n2); w++ {
+		if sp.FootNewMark[w] {
+			np.treeMask[w] = treeMaskAt(sp.Region, p.Axis, w)
+		} else {
+			np.treeMask[w] = p.treeMask[sp.OldOf[w]]
+		}
+	}
+
+	// Crossing-edge table: rows whose connector is outside the footprint
 	// keep their (still unique, still tree) edge — only the ids and indices
-	// are translated. Entries owned by footprint cells are recomputed by
-	// the local rule, exactly as Compute would.
-	for _, e := range p.conn {
-		if sp.FootOldMark[e.u] {
-			continue
+	// are translated. Rows owned by footprint cells are recomputed by the
+	// local rule, exactly as Compute would. The builder re-sorts the rows
+	// and rejects duplicate pairs.
+	edges := make([][2]int32, 0, len(p.cross)+len(sp.FootNew))
+	for _, r := range p.cross {
+		if !sp.FootOldMark[r.u] {
+			edges = append(edges, [2]int32{sp.Remap[r.u], sp.Remap[r.v]})
 		}
-		nu, nv := sp.Remap[e.u], sp.Remap[e.v]
-		key := [2]int32{np.ID[nu], np.ID[nv]}
-		if prev, dup := np.conn[key]; dup && prev.u != nu {
-			panic(fmt.Sprintf("portal: Patch: two crossing tree edges between portals %d and %d", key[0], key[1]))
-		}
-		np.conn[key] = connEnds{nu, nv}
 	}
+	xdirs := crossingDirs(p.Axis)
 	for _, w := range sp.FootNew {
-		for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-			if d.Axis() == p.Axis || !np.IsTreeEdge(w, d) {
-				continue
-			}
-			x := sp.Region.Neighbor(w, d)
-			key := [2]int32{np.ID[w], np.ID[x]}
-			if prev, dup := np.conn[key]; dup && prev.u != w {
-				panic(fmt.Sprintf("portal: Patch: two crossing tree edges between portals %d and %d", key[0], key[1]))
-			}
-			np.conn[key] = connEnds{w, x}
+		for m := np.treeMask[w] & xdirs; m != 0; m &= m - 1 {
+			d := amoebot.Direction(bits.TrailingZeros8(m))
+			edges = append(edges, [2]int32{w, sp.Region.Structure().Neighbor(w, d)})
 		}
 	}
-	np.buildNbr()
+	np.buildCrossings(edges)
 	return np
 }
 
@@ -202,31 +204,24 @@ func (np *Portals) PatchWholeView(old *View, sp *PatchSpec) *View {
 	}
 	n2 := len(sp.OldOf)
 	v := &View{
-		P:       np,
-		IDs:     make([]int32, np.Len()),
-		inView:  make([]bool, np.Len()),
-		nodes:   make([]int32, n2),
-		toLocal: make([]int32, n2),
+		P:      np,
+		IDs:    make([]int32, np.Len()),
+		inView: make([]bool, np.Len()),
+		nodes:  sp.Region.Nodes(),
 	}
 	for i := range v.IDs {
 		v.IDs[i] = int32(i)
 		v.inView[i] = true
 	}
-	for i := 0; i < n2; i++ {
-		v.nodes[i] = int32(i)
-		v.toLocal[i] = int32(i) + 1
-	}
+	v.local = newRankIndex(v.nodes)
 	// Implicit tree rows: whole-view local indices equal structure indices,
 	// so clean rows are the old rows with the remap applied value-wise.
 	oldRows := old.tree.Neighbors
+	s2 := sp.Region.Structure()
 	deg := make([]int32, n2+1)
 	for w := 0; w < n2; w++ {
 		if sp.FootNewMark[w] {
-			for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-				if np.IsTreeEdge(int32(w), d) {
-					deg[w+1]++
-				}
-			}
+			deg[w+1] = int32(bits.OnesCount8(np.treeMask[w]))
 		} else {
 			deg[w+1] = int32(len(oldRows[sp.OldOf[w]]))
 		}
@@ -239,11 +234,9 @@ func (np *Portals) PatchWholeView(old *View, sp *PatchSpec) *View {
 	for w := 0; w < n2; w++ {
 		c := deg[w]
 		if sp.FootNewMark[w] {
-			for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-				if np.IsTreeEdge(int32(w), d) {
-					flat[c] = sp.Region.Neighbor(int32(w), d)
-					c++
-				}
+			for m := np.treeMask[w]; m != 0; m &= m - 1 {
+				flat[c] = s2.Neighbor(int32(w), amoebot.Direction(bits.TrailingZeros8(m)))
+				c++
 			}
 		} else {
 			for _, x := range oldRows[sp.OldOf[w]] {
@@ -258,14 +251,18 @@ func (np *Portals) PatchWholeView(old *View, sp *PatchSpec) *View {
 	v.tree = &ett.Tree{Neighbors: rows}
 
 	if old.crossReady.Load() {
+		// A whole view's crossing table holds every row of its
+		// decomposition's table, in the same order, so a row index into
+		// old.P.cross indexes the old view's frozen table as well.
 		oct := old.cross
 		ct := &crossTab{}
 		for _, p1 := range v.IDs {
 			a0 := np.oldIDof[p1]
-			for _, p2 := range np.Nbr[p1] {
+			for i := np.xoff[p1]; i < np.xoff[p1+1]; i++ {
+				r := np.cross[i]
 				b0 := int32(-1)
 				if a0 >= 0 {
-					b0 = np.oldIDof[p2]
+					b0 = np.oldIDof[r.to]
 				}
 				var lu int32
 				var ord int32
@@ -273,15 +270,18 @@ func (np *Portals) PatchWholeView(old *View, sp *PatchSpec) *View {
 					// Both portals survive untouched: the old row exists
 					// (the connector, a node of a clean portal, kept its
 					// edge) and its ordinal is unchanged.
-					row := oct.find(a0, b0)
+					row := old.P.row(a0, b0)
+					if row < 0 {
+						panic(fmt.Sprintf("portal: crossing row (%d,%d) not found", a0, b0))
+					}
 					lu = sp.Remap[oct.local[row]]
 					ord = oct.ord[row]
 				} else {
-					l, o := v.crossingOrdinal(p1, p2)
+					l, o := v.crossingOrdinal(r)
 					lu, ord = l, int32(o)
 				}
 				ct.from = append(ct.from, p1)
-				ct.to = append(ct.to, p2)
+				ct.to = append(ct.to, r.to)
 				ct.local = append(ct.local, lu)
 				ct.ord = append(ct.ord, ord)
 			}
@@ -290,16 +290,4 @@ func (np *Portals) PatchWholeView(old *View, sp *PatchSpec) *View {
 		v.crossReady.Store(true)
 	}
 	return v
-}
-
-// find returns the row index of the directed pair (from, to); the table is
-// sorted lexicographically by (from, to).
-func (ct *crossTab) find(from, to int32) int {
-	i := sort.Search(len(ct.from), func(i int) bool {
-		return ct.from[i] > from || (ct.from[i] == from && ct.to[i] >= to)
-	})
-	if i == len(ct.from) || ct.from[i] != from || ct.to[i] != to {
-		panic(fmt.Sprintf("portal: crossing row (%d,%d) not found", from, to))
-	}
-	return i
 }

@@ -54,8 +54,11 @@ func requirePortalsEqual(t *testing.T, got, want *Portals, ctx string) {
 	if !reflect.DeepEqual(got.Nbr, want.Nbr) {
 		t.Fatalf("%s: Nbr mismatch", ctx)
 	}
-	if !reflect.DeepEqual(got.conn, want.conn) {
-		t.Fatalf("%s: conn mismatch\n got %v\nwant %v", ctx, got.conn, want.conn)
+	if !reflect.DeepEqual(got.treeMask, want.treeMask) {
+		t.Fatalf("%s: tree mask mismatch", ctx)
+	}
+	if !reflect.DeepEqual(got.xoff, want.xoff) || !reflect.DeepEqual(got.cross, want.cross) {
+		t.Fatalf("%s: crossing table mismatch\n got %v %v\nwant %v %v", ctx, got.xoff, got.cross, want.xoff, want.cross)
 	}
 }
 
@@ -69,6 +72,9 @@ func requireViewsEqual(t *testing.T, got, want *View, ctx string) {
 	}
 	if !reflect.DeepEqual(got.tree.Neighbors, want.tree.Neighbors) {
 		t.Fatalf("%s: tree rows mismatch", ctx)
+	}
+	if !reflect.DeepEqual(got.local, want.local) {
+		t.Fatalf("%s: rank index mismatch", ctx)
 	}
 	gct, wct := got.crossings(), want.crossings()
 	if !reflect.DeepEqual(gct.from, wct.from) || !reflect.DeepEqual(gct.to, wct.to) ||

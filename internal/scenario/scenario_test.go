@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -160,6 +161,35 @@ func TestChurnSequenceShape(t *testing.T) {
 	holed := Holed()[0]
 	if _, _, err := c.Sequence(holed.S); err == nil {
 		t.Fatal("churn accepted a holed base")
+	}
+}
+
+// TestChurnRandomChainsDeterministic: two fresh random-kind chains with
+// equal seeds emit equal deltas, element for element, and pass through the
+// same fingerprint sequence.
+func TestChurnRandomChainsDeterministic(t *testing.T) {
+	sc, ok := ByName("blob/n250")
+	if !ok {
+		t.Fatal("missing base scenario")
+	}
+	c := Churn{Seed: 17, Steps: 8, Adds: 10, Removes: 6}
+	d1, s1, err := c.Sequence(sc.S)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, s2, err := c.Sequence(sc.S)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range d1 {
+		if !reflect.DeepEqual(d1[i].Add, d2[i].Add) || !reflect.DeepEqual(d1[i].Remove, d2[i].Remove) {
+			t.Fatalf("step %d: deltas differ\n%v\n%v", i, d1[i], d2[i])
+		}
+	}
+	for i := range s1 {
+		if s1[i].Fingerprint() != s2[i].Fingerprint() {
+			t.Fatalf("step %d: fingerprints differ", i)
+		}
 	}
 }
 

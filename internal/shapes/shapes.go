@@ -10,8 +10,10 @@
 package shapes
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"spforest/amoebot"
 )
@@ -327,12 +329,18 @@ func RandomDelta(rng *rand.Rand, s *amoebot.Structure, adds, removes int, protec
 			break
 		}
 	}
+	// Additions in canonical row-major order (by Z, then X), so equal seeds
+	// give element-for-element equal deltas in every process; ranging over
+	// the occupancy map would list them in a random order.
 	var d amoebot.Delta
-	for c := range occupied {
-		if occupied[c] && !s.Occupied(c) {
+	for _, c := range cells {
+		if !s.Occupied(c) {
 			d.Add = append(d.Add, c)
 		}
 	}
+	slices.SortFunc(d.Add, func(a, b amoebot.Coord) int {
+		return cmp.Or(cmp.Compare(a.Z, b.Z), cmp.Compare(a.X, b.X))
+	})
 	for _, c := range s.Coords() {
 		if !occupied[c] {
 			d.Remove = append(d.Remove, c)

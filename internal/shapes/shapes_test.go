@@ -2,6 +2,7 @@ package shapes
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"spforest/amoebot"
@@ -119,6 +120,28 @@ func TestRandomBlobDeterministic(t *testing.T) {
 	for i := range ca {
 		if ca[i] != cb[i] {
 			t.Fatal("same seed produced different blobs")
+		}
+	}
+}
+
+// TestRandomDeltaDeterministic: equal seeds give element-for-element equal
+// deltas, with the additions in canonical row-major order.
+func TestRandomDeltaDeterministic(t *testing.T) {
+	s := RandomBlob(rand.New(rand.NewSource(13)), 300)
+	for seed := int64(0); seed < 20; seed++ {
+		a := RandomDelta(rand.New(rand.NewSource(seed)), s, 12, 6)
+		b := RandomDelta(rand.New(rand.NewSource(seed)), s, 12, 6)
+		if len(a.Add) < 2 {
+			t.Fatalf("seed %d: only %d additions; the order check needs several", seed, len(a.Add))
+		}
+		if !reflect.DeepEqual(a.Add, b.Add) || !reflect.DeepEqual(a.Remove, b.Remove) {
+			t.Fatalf("seed %d: equal seeds gave different deltas\n%v\n%v", seed, a, b)
+		}
+		for i := 1; i < len(a.Add); i++ {
+			p, q := a.Add[i-1], a.Add[i]
+			if p.Z > q.Z || (p.Z == q.Z && p.X >= q.X) {
+				t.Fatalf("seed %d: additions not in row-major order at %d: %v, %v", seed, i, p, q)
+			}
 		}
 	}
 }
